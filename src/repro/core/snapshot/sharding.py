@@ -60,6 +60,7 @@ __all__ = [
     "ShardedSnapshotStore",
     "ShardedVerification",
     "SHARDS_MANIFEST",
+    "ROUTE_MEMO_LIMIT",
     "shard_dirname",
     "save_sharded",
     "append_sharded",
@@ -70,6 +71,9 @@ __all__ = [
 #: Manifest file naming the shard count, so loaders and ``fsck`` can
 #: tell a sharded repository from a plain one.
 SHARDS_MANIFEST = "SHARDS"
+
+#: Most raw URLs one :class:`ShardRouter` remembers routing for.
+ROUTE_MEMO_LIMIT = 16_384
 
 
 class ShardConfigError(ValueError):
@@ -102,6 +106,13 @@ class ShardRouter:
     * when the shard count grows, a URL's winner only changes if the
       **new** shard out-scores all old ones — existing shards never
       trade URLs among themselves.
+
+    A router memoises raw URL → (canonical key, winning shard), so a
+    repeat request costs one dictionary lookup instead of a URL parse
+    and ``shard_count`` hashes.  The memo holds at most
+    :data:`ROUTE_MEMO_LIMIT` URLs and starts over when full.  On an
+    instance, :meth:`canonical` answers from the memo; called on the
+    class it is the plain, un-memoised normalization.
     """
 
     def __init__(self, shard_count: int) -> None:
@@ -110,6 +121,8 @@ class ShardRouter:
         self.shard_count = shard_count
         #: Requests routed per shard (the balance witness).
         self.routed = [0] * shard_count
+        self._memo: Dict[str, Tuple[str, int]] = {}
+        self.canonical = self._memoised_canonical
 
     @staticmethod
     def _score(index: int, key: str) -> bytes:
@@ -119,20 +132,33 @@ class ShardRouter:
     def canonical(url: str) -> str:
         return str(parse_url(url).normalized())
 
+    def _entry(self, url: str) -> Tuple[str, int]:
+        """``url``'s (canonical key, winning shard), from the memo."""
+        entry = self._memo.get(url)
+        if entry is None:
+            key = ShardRouter.canonical(url)
+            best_index = 0
+            best_score = self._score(0, key)
+            for index in range(1, self.shard_count):
+                score = self._score(index, key)
+                if score > best_score:
+                    best_index, best_score = index, score
+            entry = (key, best_index)
+            if len(self._memo) >= ROUTE_MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[url] = entry
+        return entry
+
+    def _memoised_canonical(self, url: str) -> str:
+        return self._entry(url)[0]
+
     def shard_for(self, url: str) -> int:
         """The winning shard index for ``url`` (no counter side effect)."""
-        key = self.canonical(url)
-        best_index = 0
-        best_score = self._score(0, key)
-        for index in range(1, self.shard_count):
-            score = self._score(index, key)
-            if score > best_score:
-                best_index, best_score = index, score
-        return best_index
+        return self._entry(url)[1]
 
     def route(self, url: str) -> int:
         """Like :meth:`shard_for`, but counts the routing decision."""
-        index = self.shard_for(url)
+        index = self._entry(url)[1]
         self.routed[index] += 1
         return index
 

@@ -20,6 +20,7 @@ lets the closed-loop benchmark assert byte-identity while simulating
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Union
 
 from ..obs import NOOP as NOOP_OBS
@@ -75,8 +76,8 @@ class WorkerPool:
         self.workers = workers
         self.queue_limit = queue_limit
         self._free_at: List[int] = [0] * workers
-        #: Start times of admitted-but-not-started requests (pruned
-        #: lazily against the current instant).
+        #: Start times of admitted-but-not-started requests: a min-heap,
+        #: pruned lazily against the current instant.
         self._queued_starts: List[int] = []
         self.admitted = 0
         self.rejected = 0
@@ -91,7 +92,9 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _prune(self, now: int) -> None:
-        self._queued_starts = [s for s in self._queued_starts if s > now]
+        queued = self._queued_starts
+        while queued and queued[0] <= now:
+            heappop(queued)
 
     def queue_depth(self, now: int) -> int:
         self._prune(now)
@@ -107,10 +110,10 @@ class WorkerPool:
         """The earliest instant a rejected request could be admitted:
         when a queued request starts (freeing its queue slot) or when a
         worker drains entirely, whichever comes first."""
-        candidates = [min(self._free_at)]
+        earliest = min(self._free_at)
         if self._queued_starts:
-            candidates.append(min(self._queued_starts))
-        return min(candidates)
+            return min(earliest, self._queued_starts[0])
+        return earliest
 
     # ------------------------------------------------------------------
     def admit(self, cost: int, now: int) -> Union[Admission, Rejection]:
@@ -120,8 +123,10 @@ class WorkerPool:
         if cost < 0:
             raise ValueError("cost must be >= 0")
         self._prune(now)
-        worker = min(range(self.workers), key=lambda i: self._free_at[i])
-        start = max(now, self._free_at[worker])
+        free_at = self._free_at
+        earliest = min(free_at)
+        worker = free_at.index(earliest)  # ties: the lowest index
+        start = max(now, earliest)
         if start > now and len(self._queued_starts) >= self.queue_limit:
             self.rejected += 1
             self._c_rejected.inc()
@@ -129,13 +134,13 @@ class WorkerPool:
             self._update_gauges(now)
             return Rejection(retry_after=retry_after)
         finish = start + cost
-        self._free_at[worker] = finish
+        free_at[worker] = finish
         self.admitted += 1
         self.busy_seconds += cost
         self._c_admitted.inc()
         if start > now:
             self.queued += 1
-            self._queued_starts.append(start)
+            heappush(self._queued_starts, start)
         self._h_wait.observe(start - now)
         self._update_gauges(now)
         return Admission(worker=worker, start=start, finish=finish)

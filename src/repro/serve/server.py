@@ -228,9 +228,12 @@ class DiffServer:
             self.store._c_routes[shard_index].inc()
         else:
             shard_index = self._shard_index(url)
+        # The router memoised the canonical key while routing; every
+        # later step keys on it instead of re-parsing the URL.
+        canonical = self._canonical(url)
         cache = self.response_caches[shard_index]
         pool = self.pools[shard_index]
-        key = self._cache_key(params, url, request)
+        key = self._cache_key(params, canonical, request)
 
         cached = cache.get(key) if key is not None else None
         if cached is not None:
@@ -239,7 +242,7 @@ class DiffServer:
         elif key is not None:
             self._c_cache_misses.inc()
 
-        cost = self._cost(action, params, shard_index,
+        cost = self._cost(action, params, shard_index, canonical,
                           cache_hit=cached is not None)
         if self.replicator is not None:
             cost *= self.replicator.slow_factor[shard_index]
@@ -263,7 +266,7 @@ class DiffServer:
         if key is not None:
             cache.put(key, response)
         if mutates:
-            cache.invalidate_url(self._canonical(url))
+            cache.invalidate_url(canonical)
             if self.replicator is not None:
                 self.replicator.on_write(url, shard_index)
             self._note_mutation()
@@ -277,7 +280,8 @@ class DiffServer:
         would have dropped them."""
         result = self.store.checkin_content(user, url, body)
         try:
-            index = self.store.router.route(url)
+            # The store already routed (and counted) this check-in.
+            index = self.store.router.shard_for(url)
         except Exception:
             index = 0
         self.response_caches[index].invalidate_url(self._canonical(url))
@@ -321,21 +325,23 @@ class DiffServer:
         self.store._c_routes[index].inc()
         return index
 
-    def _cache_key(self, params: Dict[str, str], url: str,
+    def _cache_key(self, params: Dict[str, str], canonical: str,
                    request: Optional[Request] = None):
-        if not url:
+        """The response-cache key for ``params`` with the URL already
+        canonicalized to ``canonical``."""
+        if not canonical:
             return None
-        canonical = dict(params)
-        canonical["url"] = self._canonical(url)
-        if canonical.get("action") == "timegate" and request is not None:
+        keyed = dict(params)
+        keyed["url"] = canonical
+        if keyed.get("action") == "timegate" and request is not None:
             # Datetime negotiation varies on a header, not a query
             # parameter; fold it into the key so two targets never
             # share a cached 302 (exactly what Vary: accept-datetime
             # tells a real shared cache).
-            canonical["accept_datetime"] = request.headers.get(
+            keyed["accept_datetime"] = request.headers.get(
                 ACCEPT_DATETIME, ""
             ) or ""
-        return cacheable_key(canonical)
+        return cacheable_key(keyed)
 
     @staticmethod
     def _mutates(action: str, params: Dict[str, str]) -> bool:
@@ -349,7 +355,7 @@ class DiffServer:
         return False
 
     def _cost(self, action: str, params: Dict[str, str], shard_index: int,
-              cache_hit: bool) -> int:
+              canonical: str, cache_hit: bool) -> int:
         """Simulated worker-seconds one request occupies a worker.
 
         The response cache turns any request into a memory read; a
@@ -367,8 +373,7 @@ class DiffServer:
             if r1 is not None and r2 is not None:
                 store = self.store.shards[shard_index]
                 shared_key = DiffCache.make_key(
-                    self._canonical(params.get("url", "")), r1, r2,
-                    store.diff_options,
+                    canonical, r1, r2, store.diff_options,
                 )
                 if store.diff_cache.peek(shared_key):
                     return costs.cheap

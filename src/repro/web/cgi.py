@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import codecs
 from typing import Callable, Dict, Optional
+from urllib.parse import unquote_to_bytes
 
 from .http import Request, Response, make_response
 
@@ -73,26 +74,17 @@ def _unescape(text: str) -> str:
 
     Percent escapes are byte-level, so multi-byte characters arrive as
     several ``%XX`` runs; bytes are accumulated and decoded together.
-    Malformed escapes pass through literally, as servers of the era
-    did, and byte runs that are not valid UTF-8 (overlong encodings
-    included) stay visible as literal ``%XX`` text rather than being
-    folded into U+FFFD.
+    Only ``%`` followed by two ASCII hex digits is an escape (RFC
+    3986): anything else — ``%+1``, ``%1 ``, ``%٣٤`` — passes through
+    literally, as servers of the era did, so distinct malformed
+    queries never decode to the same key.  Byte runs that are not
+    valid UTF-8 (overlong encodings included) stay visible as literal
+    ``%XX`` text rather than being folded into U+FFFD.
     """
     text = text.replace("+", " ")
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "%" and i + 2 < len(text):
-            hex_part = text[i + 1:i + 3]
-            try:
-                out.append(int(hex_part, 16))
-                i += 3
-                continue
-            except ValueError:
-                pass
-        out.extend(text[i].encode("utf-8"))
-        i += 1
-    return out.decode("utf-8", "aide-percent")
+    if "%" not in text:
+        return text
+    return unquote_to_bytes(text).decode("utf-8", "aide-percent")
 
 
 _SAFE = set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -90,6 +90,14 @@ class TestServeIdentity:
         cache = server.response_caches[server._shard_index(url)]
         assert cache.invalidations >= 1
 
+    def test_out_of_band_checkin_is_routed_once(self):
+        world = build_world(SEED, pages=4)
+        server = make_server(world)
+        routed = sum(server.store.router.routed)
+        server.checkin_content("curator0@example.com", world.urls[0],
+                               "<P>archived out of band.</P>")
+        assert sum(server.store.router.routed) == routed + 1
+
 
 class TestBackpressure:
     def test_queue_full_returns_503_with_retry_after(self):

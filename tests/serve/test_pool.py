@@ -1,6 +1,8 @@
 """Tests for the virtual-time worker pool (admission, queueing,
 shedding, and the determinism the benchmark's gates depend on)."""
 
+import random
+
 import pytest
 
 from repro.serve.pool import Admission, Rejection, WorkerPool
@@ -118,3 +120,76 @@ class TestValidation:
             WorkerPool(workers=1, queue_limit=-1)
         with pytest.raises(ValueError):
             WorkerPool(workers=1, queue_limit=1).admit(cost=-1, now=0)
+
+
+class _ReferencePool:
+    """Brute-force model of the pool: it keeps every admitted request
+    and recomputes worker availability and queue depth from scratch."""
+
+    def __init__(self, workers, queue_limit):
+        self.workers = workers
+        self.queue_limit = queue_limit
+        self.jobs = []  # (worker, arrival, start, cost)
+        self.rejected = 0
+
+    def _free_at(self, worker):
+        return max((start + cost for w, _, start, cost in self.jobs
+                    if w == worker), default=0)
+
+    def _waiting(self, now):
+        return [start for _, _, start, _ in self.jobs if start > now]
+
+    def admit(self, cost, now):
+        free = [self._free_at(w) for w in range(self.workers)]
+        worker = min(range(self.workers), key=lambda w: (free[w], w))
+        start = max(now, free[worker])
+        waiting = self._waiting(now)
+        if start > now and len(waiting) >= self.queue_limit:
+            self.rejected += 1
+            return Rejection(retry_after=max(1, min(free + waiting) - now))
+        self.jobs.append((worker, now, start, cost))
+        return Admission(worker=worker, start=start, finish=start + cost)
+
+    def queue_depth(self, now):
+        return len(self._waiting(now))
+
+    def busy_workers(self, now):
+        return sum(1 for w in range(self.workers) if self._free_at(w) > now)
+
+    def stats(self):
+        return {
+            "workers": self.workers,
+            "queue_limit": self.queue_limit,
+            "admitted": len(self.jobs),
+            "rejected": self.rejected,
+            "queued": sum(1 for _, arrival, start, _ in self.jobs
+                          if start > arrival),
+            "busy_seconds": sum(cost for *_, cost in self.jobs),
+        }
+
+
+def _arrivals(rng, count):
+    """(cost, now) pairs in arrival order: same-instant bursts, idle
+    gaps, zero costs and repeated costs (so workers tie)."""
+    now = 0
+    out = []
+    while len(out) < count:
+        now += rng.choice((0, 0, 1, 2, 5, 30))
+        for _ in range(rng.choice((1, 1, 2, 4, 8))):
+            out.append((rng.choice((0, 0, 1, 3, 10, 10, 25)), now))
+    return out[:count]
+
+
+class TestAgainstReferenceModel:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force_model(self, seed):
+        rng = random.Random(seed)
+        workers = rng.choice((1, 2, 3, 8))
+        queue_limit = rng.choice((0, 0, 1, 2, 5, 16))
+        pool = WorkerPool(workers, queue_limit)
+        model = _ReferencePool(workers, queue_limit)
+        for cost, now in _arrivals(rng, 300):
+            assert pool.admit(cost, now) == model.admit(cost, now)
+            assert pool.queue_depth(now) == model.queue_depth(now)
+            assert pool.busy_workers(now) == model.busy_workers(now)
+        assert pool.stats() == model.stats()

@@ -6,12 +6,15 @@ to a single store for every CGI action, per-shard repositories fsck as
 one, and scheduler-driven interleavings stay deterministic.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.snapshot.service import SnapshotService
 from repro.core.snapshot.sharding import (
+    ROUTE_MEMO_LIMIT,
     ShardConfigError,
     ShardRouter,
     ShardedSnapshotStore,
@@ -87,6 +90,62 @@ class TestShardRouter:
     def test_bad_shard_count(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
+
+
+def _reference_ranking(url, shard_count):
+    """Un-memoised rendezvous scoring: shards by descending
+    sha256(f"{index}|{canonical url}")."""
+    key = ShardRouter.canonical(url)
+    return sorted(
+        range(shard_count),
+        key=lambda index: hashlib.sha256(
+            f"{index}|{key}".encode("utf-8")).digest(),
+        reverse=True,
+    )
+
+
+#: Spellings of one page that differ in case, default port, fragment
+#: and (for the site root) the empty path.
+_VARIANTS = [
+    ("http://site.com/p1.html", "HTTP://Site.COM/p1.html",
+     "http://site.com:80/p1.html", "http://site.com/p1.html#top",
+     "http://SITE.com:80/p1.html#x"),
+    ("http://site.com/", "http://site.com", "HTTP://SITE.COM:80",
+     "http://site.com#frag"),
+    ("http://other.org/a/b?q=1", "http://OTHER.org:80/a/b?q=1#f"),
+]
+
+
+class TestRouterMemo:
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    def test_memo_matches_unmemoised_scoring(self, shards):
+        router = ShardRouter(shards)
+        for group in _VARIANTS:
+            canonical = {ShardRouter.canonical(url) for url in group}
+            assert len(canonical) == 1
+            for _ in range(2):  # the first pass fills the memo
+                for url in group:
+                    ranking = _reference_ranking(url, shards)
+                    assert router.canonical(url) in canonical
+                    assert router.shard_for(url) == ranking[0]
+                    assert router.route(url) == ranking[0]
+                    for count in range(1, shards + 1):
+                        assert (router.replicas_for(url, count)
+                                == ranking[:count])
+
+    def test_canonical_on_the_class_is_the_plain_normalization(self):
+        assert (ShardRouter.canonical("HTTP://Site.COM:80/p1.html#top")
+                == ShardRouter(4).canonical("http://site.com/p1.html"))
+
+    def test_memo_stays_within_its_bound(self):
+        router = ShardRouter(2)
+        for i in range(200_000):
+            router.route(f"http://host{i % 97}.example/page{i}.html")
+            assert len(router._memo) <= ROUTE_MEMO_LIMIT
+        assert sum(router.routed) == 200_000
+        # Routing after the memo started over is still the reference.
+        url = "http://host5.example/page5.html"
+        assert router.shard_for(url) == _reference_ranking(url, 2)[0]
 
 
 class TestShardedStoreIdentity:

@@ -40,6 +40,12 @@ class TestParseQueryString:
     def test_malformed_percent_left_alone(self):
         assert parse_query_string("a=100%") == {"a": "100%"}
         assert parse_query_string("a=%zz") == {"a": "%zz"}
+        # Only "%" plus two ASCII hex digits is an escape: whitespace
+        # and non-ASCII digits never reach the hex parser.
+        assert parse_query_string("a=%+1") == {"a": "% 1"}
+        assert parse_query_string("a=%1 ") == {"a": "%1 "}
+        assert parse_query_string("a=%٣٤") == {"a": "%٣٤"}
+        assert parse_query_string("a=%01") == {"a": "\x01"}
 
     def test_overlong_utf8_not_folded(self):
         # %C0%80 is the classic overlong encoding of NUL; a lenient
@@ -52,9 +58,10 @@ class TestParseQueryString:
     def test_distinct_malformed_sequences_stay_distinct(self):
         decoded = {
             parse_query_string(f"a={esc}")["a"]
-            for esc in ("%C0%80", "%C0%AF", "%FF", "%FE%FF", "%ED%A0%80")
+            for esc in ("%C0%80", "%C0%AF", "%FF", "%FE%FF", "%ED%A0%80",
+                        "%+1", "%1 ", "%01", "%٣٤", "4")
         }
-        assert len(decoded) == 5
+        assert len(decoded) == 10
 
     def test_invalid_bytes_beside_valid_utf8(self):
         # A valid multi-byte rune next to a stray continuation byte:
@@ -66,6 +73,55 @@ class TestParseQueryString:
             "action=diff&url=http%3A//site.com/page%3Fq%3D1"
         )
         assert params["url"] == "http://site.com/page?q=1"
+
+
+_HEX = "0123456789abcdefABCDEF"
+
+
+def _oracle_unescape(text):
+    """The decoding rules read literally, one character at a time."""
+    raw = bytearray()
+    i = 0
+    while i < len(text):
+        char = text[i]
+        if (char == "%" and i + 2 < len(text) and text[i + 1] in _HEX
+                and text[i + 2] in _HEX):
+            raw.append(int(text[i + 1:i + 3], 16))
+            i += 3
+            continue
+        raw.extend((" " if char == "+" else char).encode("utf-8"))
+        i += 1
+    # Each byte that is not part of valid UTF-8 shows as a literal %XX.
+    return "".join(
+        f"%{ord(c) - 0xDC00:02X}" if 0xDC80 <= ord(c) <= 0xDCFF else c
+        for c in raw.decode("utf-8", "surrogateescape")
+    )
+
+
+def _oracle_parse(query):
+    out = {}
+    for pair in (query or "").split("&"):
+        if pair:
+            key, _, value = pair.partition("=")
+            out[_oracle_unescape(key)] = _oracle_unescape(value)
+    return out
+
+
+#: Query fragments: the separators, hex and non-hex characters, ASCII
+#: and non-ASCII text, and whole escapes (valid UTF-8 and not).
+_QUERY_PIECES = st.sampled_from(
+    list("%+&= ") + list("0aF9g z~.") + ["\u00e9", "\u0663", "\u20ac",
+                                         "\U0001F600"]
+    + ["%41", "%C3%A9", "%E2%82%AC", "%C0%80", "%FF", "%e9", "%2B",
+       "%26", "%3D", "%25"]
+)
+
+
+class TestParseQueryStringOracle:
+    @given(st.lists(_QUERY_PIECES, max_size=24).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_oracle(self, query):
+        assert parse_query_string(query) == _oracle_parse(query)
 
 
 class TestEncodeQueryString:
