@@ -32,7 +32,7 @@ from ..simclock import SimClock
 from ..web.cgi import encode_query_string, parse_query_string
 from ..web.client import UserAgent
 from ..web.http import Response, format_http_date
-from ..web.url import parse_url
+from ..web.url import canonical_url, parse_url
 
 __all__ = ["IntegratedBrowser", "FormBookmark", "TimeTravelSession",
            "TimeTravelPage"]
@@ -106,7 +106,7 @@ class IntegratedBrowser:
         file, so the user could jump directly to the output"."""
         bookmark = FormBookmark(
             name=name,
-            action_url=str(parse_url(action_url).normalized()),
+            action_url=canonical_url(action_url),
             fields=tuple(sorted(fields.items())),
         )
         self.form_bookmarks[name] = bookmark

@@ -33,7 +33,7 @@ from ...html.entities import encode_entities
 from ...html.lexer import Tag, tokenize_html
 from ...web.client import UserAgent
 from ...web.http import NetworkError
-from ...web.url import join_url, parse_url
+from ...web.url import canonical_key, canonical_url, join_url, parse_url
 from .api import HtmlDiffResult, html_diff
 from .options import HtmlDiffOptions
 
@@ -58,14 +58,14 @@ class EntityChecksumStore:
     def update(self, url: str, body: str) -> bool:
         """Record the entity's current content; True when it changed
         relative to the previously stored checksum."""
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         checksum = _entity_checksum(body)
         previous = self._checksums.get(key)
         self._checksums[key] = checksum
         return previous is not None and previous != checksum
 
     def known(self, url: str) -> bool:
-        return str(parse_url(url).normalized()) in self._checksums
+        return canonical_key(self._checksums, url) in self._checksums
 
     def __len__(self) -> int:
         return len(self._checksums)

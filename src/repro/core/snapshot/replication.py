@@ -26,7 +26,7 @@ from typing import List
 from ...simclock import SimClock
 from ...web.cgi import parse_query_string
 from ...web.http import Request, Response, make_response
-from ...web.url import parse_url
+from ...web.url import canonical_url
 from .service import SnapshotService
 
 __all__ = ["AdmissionControl", "ReplicatedSnapshotService"]
@@ -89,7 +89,7 @@ class ReplicatedSnapshotService:
     # ------------------------------------------------------------------
     def replica_for(self, url: str) -> int:
         """Stable URL → replica index (hash partitioning)."""
-        key = str(parse_url(url).normalized())
+        key = canonical_url(url)
         digest = hashlib.md5(key.encode("utf-8")).hexdigest()
         return int(digest[:8], 16) % len(self.replicas)
 

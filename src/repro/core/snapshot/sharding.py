@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ...obs import NOOP as NOOP_OBS
 from ...simclock import SimClock
 from ...web.client import UserAgent
-from ...web.url import parse_url
+from ...web.url import canonical_url
 from ..htmldiff.api import HtmlDiffResult
 from ..htmldiff.options import HtmlDiffOptions
 from .options import StoreOptions
@@ -110,10 +110,12 @@ class ShardRouter:
     A router memoises raw URL → (canonical key, winning shard), so a
     repeat request costs one dictionary lookup instead of a URL parse
     and ``shard_count`` hashes.  The memo holds at most
-    :data:`ROUTE_MEMO_LIMIT` URLs and starts over when full.  On an
-    instance, :meth:`canonical` answers from the memo; called on the
-    class it is the plain, un-memoised normalization.
+    :data:`ROUTE_MEMO_LIMIT` URLs and starts over when full;
+    :meth:`key` answers from it.
     """
+
+    #: The routing key (plain :func:`~repro.web.url.canonical_url`).
+    canonical = staticmethod(canonical_url)
 
     def __init__(self, shard_count: int) -> None:
         if shard_count < 1:
@@ -122,21 +124,16 @@ class ShardRouter:
         #: Requests routed per shard (the balance witness).
         self.routed = [0] * shard_count
         self._memo: Dict[str, Tuple[str, int]] = {}
-        self.canonical = self._memoised_canonical
 
     @staticmethod
     def _score(index: int, key: str) -> bytes:
         return hashlib.sha256(f"{index}|{key}".encode("utf-8")).digest()
 
-    @staticmethod
-    def canonical(url: str) -> str:
-        return str(parse_url(url).normalized())
-
     def _entry(self, url: str) -> Tuple[str, int]:
         """``url``'s (canonical key, winning shard), from the memo."""
         entry = self._memo.get(url)
         if entry is None:
-            key = ShardRouter.canonical(url)
+            key = canonical_url(url)
             best_index = 0
             best_score = self._score(0, key)
             for index in range(1, self.shard_count):
@@ -149,7 +146,8 @@ class ShardRouter:
             self._memo[url] = entry
         return entry
 
-    def _memoised_canonical(self, url: str) -> str:
+    def key(self, url: str) -> str:
+        """``url``'s canonical key, from the memo."""
         return self._entry(url)[0]
 
     def shard_for(self, url: str) -> int:
@@ -181,7 +179,7 @@ class ShardRouter:
                 f"shard(s); add shards before raising the replication "
                 f"factor"
             )
-        key = self.canonical(url)
+        key = self.key(url)
         ranked = sorted(
             range(self.shard_count),
             key=lambda index: self._score(index, key),

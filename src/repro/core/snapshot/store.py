@@ -26,7 +26,8 @@ from ...simclock import SimClock
 from ...web.client import UserAgent
 from ...web.guards import ContentGuard, ContentGuardError
 from ...web.http import NetworkError
-from ...web.url import parse_url
+# parse_url stays a module name: perfbench's tracer test rebinds it here.
+from ...web.url import canonical_url, parse_url  # noqa: F401
 from ..htmldiff.api import HtmlDiffResult, html_diff
 from ..htmldiff.options import HtmlDiffOptions
 from .checkoutcache import CheckoutCache
@@ -195,11 +196,8 @@ class SnapshotStore:
             self.failpoints.step(point)
 
     # ------------------------------------------------------------------
-    def _canonical(self, url: str) -> str:
-        return str(parse_url(url).normalized())
-
     def archive_for(self, url: str) -> RcsArchive:
-        key = self._canonical(url)
+        key = canonical_url(url)
         archive = self.archives.get(key)
         if archive is None:
             archive = RcsArchive(
@@ -215,10 +213,11 @@ class SnapshotStore:
         """Fetch the live page and check it in for ``user``.  (The
         check-in transaction is bracketed by a ``snapshot.remember``
         span; see :mod:`repro.obs`.)"""
-        with self.obs.span("snapshot.remember", url=self._canonical(url),
+        key = canonical_url(url)
+        with self.obs.span("snapshot.remember", url=key,
                            user=user) as span:
             self._c_remembers.inc()
-            result = self._remember_impl(user, url)
+            result = self._remember_impl(user, key)
             span.set(revision=result.revision, changed=result.changed,
                      fetched_bytes=result.fetched_bytes)
             self._c_fetch_bytes.inc(result.fetched_bytes)
@@ -226,7 +225,7 @@ class SnapshotStore:
                 self._c_checkins.inc()
             return result
 
-    def _remember_impl(self, user: str, url: str) -> RememberResult:
+    def _remember_impl(self, user: str, key: str) -> RememberResult:
         """Fetch the live page and check it in for ``user``.
 
         "Though the page is retrieved, the RCS ci command ensures that
@@ -241,7 +240,6 @@ class SnapshotStore:
         repeating the work" (Section 4.2) — and each requester's
         control file is still stamped individually.
         """
-        key = self._canonical(url)
         if self.locks.scheduler is not None:
             return self._remember_queued(user, key)
         if not self.options.coalesce_checkins:
@@ -380,7 +378,7 @@ class SnapshotStore:
         lock, and the new head is fanned out to every requesting user's
         control file.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         body = self.coalescer.do(
             f"fetch:{key}:{self.clock.now}", lambda: self._fetch(key)
         )
@@ -394,7 +392,7 @@ class SnapshotStore:
         remember() would double the request count the Section 8.3
         economy-of-scale argument is about.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         txn = self._begin("checkin", key, user, (user,))
         try:
             body = self._admit_supplied(key, body)
@@ -414,7 +412,7 @@ class SnapshotStore:
         user.  Result order matches ``users``; only the first requester
         reports ``changed`` (exactly what N sequential check-ins of the
         same body would have reported)."""
-        key = self._canonical(url)
+        key = canonical_url(url)
         author = users[0] if users else "aide"
         with self.obs.span("snapshot.checkin_batch", url=key,
                            users=len(users)):
@@ -575,7 +573,7 @@ class SnapshotStore:
         page could retrieve HtmlDiff(pageN, pageN+1) with a single
         invocation".
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         with self.obs.span("snapshot.diff", url=key, user=user) as span:
             self._c_diffs.inc()
             result = self._diff_impl(user, key, rev_old, rev_new)
@@ -667,7 +665,7 @@ class SnapshotStore:
         "present the user with a set of versions seen by that person
         regardless of what other versions are also stored."
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         archive = self.archives.get(key)
         if archive is None:
             raise SnapshotError(f"no snapshots of {key}")
@@ -677,7 +675,7 @@ class SnapshotStore:
     def view(self, url: str, revision: Optional[str] = None,
              rewrite_base: bool = True) -> str:
         """A stored version's text, BASE-rewritten by default."""
-        key = self._canonical(url)
+        key = canonical_url(url)
         self._c_views.inc()
         archive = self.archives.get(key)
         if archive is None or archive.revision_count == 0:
@@ -698,7 +696,7 @@ class SnapshotStore:
         capability of file systems such as 3DFS."  Raises when nothing
         that old is archived.
         """
-        key = self._canonical(url)
+        key = canonical_url(url)
         self._c_views.inc()
         archive = self.archives.get(key)
         if archive is None or archive.revision_count == 0:

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
-from ...web.url import parse_url
+from ...web.url import canonical_key
 
 __all__ = ["BrowserHistory"]
-
-
-def _canonical(url: str) -> str:
-    return str(parse_url(url).normalized())
 
 
 class BrowserHistory:
@@ -29,23 +25,23 @@ class BrowserHistory:
 
     def visit(self, url: str, when: int) -> None:
         """Record a page view (later of the two when already present)."""
-        key = _canonical(url)
+        key = canonical_key(self._visits, url)
         existing = self._visits.get(key)
         if existing is None or when > existing:
             self._visits[key] = when
 
     def last_seen(self, url: str) -> Optional[int]:
         """Last visit time, or None if the user never viewed the page."""
-        return self._visits.get(_canonical(url))
+        return self._visits.get(canonical_key(self._visits, url))
 
     def forget(self, url: str) -> None:
-        self._visits.pop(_canonical(url), None)
+        self._visits.pop(canonical_key(self._visits, url), None)
 
     def __len__(self) -> int:
         return len(self._visits)
 
     def __contains__(self, url: str) -> bool:
-        return _canonical(url) in self._visits
+        return canonical_key(self._visits, url) in self._visits
 
     def items(self) -> Iterator[Tuple[str, int]]:
         return iter(self._visits.items())

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...simclock import NEVER
 from ...web.proxy import ProxyCache
-from ...web.url import parse_url
+from ...web.url import canonical_url, parse_url
 from .checker import CheckerFlags
 from .errors import CheckOutcome, CheckSource, UrlState, quarantine_backoff
 from .estimator import ChangeRateEstimator
@@ -246,7 +246,7 @@ def build_schedule(
 
     for index, entry in enumerate(entries):
         url = entry.url
-        canon = str(parse_url(url).normalized())
+        canon = canonical_url(url)
         owner = owners.get(canon)
         if owner is not None:
             # Same page elsewhere in the hotlist: one fetch, fanned out.
@@ -264,11 +264,10 @@ def build_schedule(
             decide(url, "never", "threshold is 'never'")
             continue
 
-        parsed = parse_url(url)
-        last_seen = history.last_seen(url)
-        record = cache.peek(url)
+        last_seen = history.last_seen(canon)
+        record = cache.peek(canon)
 
-        if parsed.scheme == "file":
+        if canon.startswith("file:"):
             candidate = _Candidate(index=index, url=url, expects_http=False,
                                    last_seen=last_seen)
             free.append(candidate)
@@ -352,11 +351,11 @@ def build_schedule(
         # when the status cache has nothing.
         reference = _verified_reference(record, last_seen)
         if reference is None:
-            estimate = estimator.peek(url)
+            estimate = estimator.peek(canon)
             if estimate is not None:
                 reference = estimate.last_check_at
         elapsed = None if reference is None else max(0, now - reference)
-        p = estimator.p_changed(url, elapsed)
+        p = estimator.p_changed(canon, elapsed)
         candidate = _Candidate(index=index, url=url, priority=p, force=True,
                                last_seen=last_seen)
         fetch.append(candidate)

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from ...web.url import parse_url
+from ...web.url import canonical_key
 
 __all__ = ["UrlRecord", "StatusCache"]
-
-
-def _canonical(url: str) -> str:
-    return str(parse_url(url).normalized())
 
 
 @dataclass
@@ -83,7 +79,7 @@ class StatusCache:
         self._records: Dict[str, UrlRecord] = {}
 
     def record_for(self, url: str) -> UrlRecord:
-        key = _canonical(url)
+        key = canonical_key(self._records, url)
         record = self._records.get(key)
         if record is None:
             record = UrlRecord(url=key)
@@ -92,7 +88,7 @@ class StatusCache:
 
     def peek(self, url: str) -> Optional[UrlRecord]:
         """The record if one exists; never creates."""
-        return self._records.get(_canonical(url))
+        return self._records.get(canonical_key(self._records, url))
 
     def __len__(self) -> int:
         return len(self._records)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..web.http import format_http_date, parse_http_date
-from ..web.url import join_url, parse_url
+from ..web.url import canonical_url, join_url, parse_url
 from .core import (
     ACCEPT_DATETIME,
     MEMENTO_DATETIME,
@@ -75,7 +75,7 @@ class MementoClient:
     def __init__(self, agent, endpoint: str, source: str = "remote",
                  timeout: Optional[int] = None) -> None:
         self.agent = agent
-        self.endpoint = str(parse_url(endpoint).normalized())
+        self.endpoint = canonical_url(endpoint)
         #: Label stamped on every memento learned from this archive.
         self.source = source
         self.timeout = timeout
@@ -83,7 +83,7 @@ class MementoClient:
     # ------------------------------------------------------------------
     def _absolute(self, uri: str) -> str:
         """Resolve a (possibly relative) URI against the endpoint."""
-        return str(join_url(parse_url(self.endpoint), uri).normalized())
+        return canonical_url(str(join_url(parse_url(self.endpoint), uri)))
 
     def _get(self, uri: str, headers=None):
         return self.agent.get(self._absolute(uri), timeout=self.timeout,

@@ -32,6 +32,7 @@ import json
 from typing import List, Optional
 
 from ..core.snapshot.store import ContentQuarantined, SnapshotError
+from ..web.url import canonical_key
 from ..web.http import (
     Request,
     Response,
@@ -115,7 +116,7 @@ class MementoEndpoints:
         verdict (the URL's only history is "we refused it"); no archive
         at all → the familiar 404.
         """
-        key = self.store._canonical(url)
+        key = canonical_key(self.store.archives, url)
         archive = self.store.archives.get(key)
         if archive is not None and archive.revision_count > 0:
             return key, archive

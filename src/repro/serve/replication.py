@@ -476,7 +476,7 @@ class ReplicationManager:
     # Routing
     # ------------------------------------------------------------------
     def replica_set(self, url: str) -> Tuple[int, ...]:
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         cached = self._replica_sets.get(key)
         if cached is None:
             cached = tuple(self.store.router.replicas_for(
@@ -487,7 +487,7 @@ class ReplicationManager:
     def serving_index(self, url: str) -> Optional[int]:
         """The freshest live replica for ``url`` (rendezvous order
         breaks ties), or None when the whole replica set is down."""
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         replicas = self.replica_set(key)
         best: Optional[int] = None
         best_count = -1
@@ -533,7 +533,7 @@ class ReplicationManager:
         """
         src = self.store.shards[source]
         dst = self.store.shards[target]
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         moved = 0
         src_archive = src.archives.get(key)
         dst_archive = dst.archives.get(key)
@@ -639,7 +639,7 @@ class ReplicationManager:
         exactly those differences (and nothing when the copies really
         are identical).
         """
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         peers = [shard for shard in self.replica_set(key)
                  if self.alive[shard] and shard != target]
         source = self._freshest(key, peers)
@@ -661,7 +661,7 @@ class ReplicationManager:
     def on_write(self, url: str, serving: int) -> None:
         """Fan a completed mutation out: live peers get an immediate
         state transfer, dead peers get a hint."""
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         for shard in self.replica_set(key):
             if shard == serving:
                 continue
@@ -676,7 +676,7 @@ class ReplicationManager:
         counts differ), converge the laggards to the serving copy
         before the response leaves — the next read may be served by
         the replica that was behind."""
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         serving_archive = self.store.shards[serving].archives.get(key)
         serving_count = (serving_archive.revision_count
                          if serving_archive is not None else 0)
@@ -752,7 +752,7 @@ class ReplicationManager:
     def converged(self, url: str) -> bool:
         """Do every URL's live replicas hold identical state?  (The
         test/benchmark witness, not a serving-path operation.)"""
-        key = self.store.router.canonical(url)
+        key = self.store.router.key(url)
         replicas = [shard for shard in self.replica_set(key)
                     if self.alive[shard]]
         if len(replicas) < 2:

@@ -230,7 +230,7 @@ class DiffServer:
             shard_index = self._shard_index(url)
         # The router memoised the canonical key while routing; every
         # later step keys on it instead of re-parsing the URL.
-        canonical = self._canonical(url)
+        canonical = self.store.router.key(url)
         cache = self.response_caches[shard_index]
         pool = self.pools[shard_index]
         key = self._cache_key(params, canonical, request)
@@ -279,12 +279,10 @@ class DiffServer:
         TimeMaps — are dropped, exactly as a dispatched ``remember``
         would have dropped them."""
         result = self.store.checkin_content(user, url, body)
-        try:
-            # The store already routed (and counted) this check-in.
-            index = self.store.router.shard_for(url)
-        except Exception:
-            index = 0
-        self.response_caches[index].invalidate_url(self._canonical(url))
+        # The store already routed (and counted) this check-in.
+        router = self.store.router
+        self.response_caches[router.shard_for(url)].invalidate_url(
+            router.key(url))
         self._note_mutation()
         return result
 
@@ -307,21 +305,12 @@ class DiffServer:
     # ------------------------------------------------------------------
     # Routing, caching, cost model
     # ------------------------------------------------------------------
-    def _canonical(self, url: str) -> str:
-        try:
-            return self.store.router.canonical(url)
-        except Exception:
-            return url
-
     def _shard_index(self, url: str) -> int:
         """No-URL requests (the registration form) go to shard 0, like
         the replicated service routed them to replica 0."""
         if not url:
             return 0
-        try:
-            index = self.store.router.route(url)
-        except Exception:
-            return 0
+        index = self.store.router.route(url)
         self.store._c_routes[index].inc()
         return index
 

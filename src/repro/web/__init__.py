@@ -54,7 +54,7 @@ from .resilience import (
 )
 from .robots import RobotsFile, parse_robots_txt
 from .server import HttpServer, Page
-from .url import Url, join_url, parse_url
+from .url import Url, canonical_url, join_url, parse_url
 
 __all__ = [
     "FetchResult",
@@ -100,6 +100,7 @@ __all__ = [
     "HttpServer",
     "Page",
     "Url",
+    "canonical_url",
     "join_url",
     "parse_url",
 ]

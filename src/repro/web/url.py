@@ -3,26 +3,31 @@
 AIDE handles ``http:`` and ``file:`` URLs (w3newer supports ``file:``
 hotlist entries checked with a cheap ``stat``), resolves relative links
 when rewriting snapshot pages with a ``BASE`` directive, and keys every
-repository and cache on normalized URL strings.
+repository and cache on :func:`canonical_url` strings: total (any text
+has a key) and idempotent (a key is its own key).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Mapping, Optional
 
-__all__ = ["Url", "parse_url", "join_url"]
+__all__ = ["Url", "parse_url", "join_url", "canonical_url", "canonical_key"]
 
+# Total: every string matches.  A port is at most five ASCII digits
+# ending the authority; anything else after the host's ":" is path.
 _URL_RE = re.compile(
-    r"^(?:(?P<scheme>[a-zA-Z][a-zA-Z0-9+.\-]*):)?"
-    r"(?://(?P<host>[^/:?#]*)(?::(?P<port>\d+))?)?"
+    r"(?:(?P<scheme>[a-zA-Z][a-zA-Z0-9+.\-]*):)?"
+    r"(?://(?P<host>[^/:?#]*)(?::(?P<port>[0-9]{1,5})(?![^/?#]))?)?"
     r"(?P<path>[^?#]*)"
     r"(?:\?(?P<query>[^#]*))?"
-    r"(?:#(?P<fragment>.*))?$"
+    r"(?:#(?P<fragment>.*))?",
+    re.DOTALL,
 )
 
 _DEFAULT_PORTS = {"http": 80, "https": 443, "gopher": 70, "ftp": 21}
+_HIERARCHICAL = ("http", "https", "ftp", "file")
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,10 @@ class Url:
         out = ""
         if self.scheme:
             out += f"{self.scheme}:"
-        if self.host or self.scheme in ("http", "https", "ftp", "file"):
+        # "//" only where a re-parse reads the same authority back.
+        if (self.host or self.port is not None or self.path.startswith("//")
+                or (self.scheme in _HIERARCHICAL
+                    and self.path[:1] in ("", "/"))):
             out += f"//{self.netloc}"
         out += self.path
         if self.query is not None:
@@ -95,9 +103,7 @@ def parse_url(text: str) -> Url:
     """Parse a URL string.  Forgiving: anything matches (worst case it
     all lands in ``path``), mirroring how 1995 tools treated hotlist
     lines."""
-    match = _URL_RE.match(text.strip())
-    assert match is not None  # the pattern cannot fail
-    parts = match.groupdict()
+    parts = _URL_RE.fullmatch(text.strip()).groupdict()
     return Url(
         scheme=(parts["scheme"] or "").lower(),
         host=(parts["host"] or "").lower(),
@@ -106,6 +112,19 @@ def parse_url(text: str) -> Url:
         query=parts["query"],
         fragment=parts["fragment"],
     )
+
+
+def canonical_url(text: str) -> str:
+    """The key every repository, cache and table files ``text`` under.
+    The fragment goes before whitespace is stripped: ``"http://a/b #f"``
+    and ``"http://a/b"`` share a key."""
+    return str(parse_url(text.partition("#")[0]).normalized())
+
+
+def canonical_key(table: Mapping[str, object], url: str) -> str:
+    """``url``'s key in ``table``, keyed by canonical URL: ``url`` itself
+    if present (every key is canonical), else :func:`canonical_url`."""
+    return url if url in table else canonical_url(url)
 
 
 def _merge_paths(base: Url, path: str) -> str:

@@ -1,9 +1,10 @@
 """Tests for URL parsing, joining, normalization."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.web.url import Url, join_url, parse_url
+from repro.web.url import Url, canonical_key, canonical_url, join_url, parse_url
 
 
 class TestParse:
@@ -107,3 +108,58 @@ class TestJoin:
         out = join_url(self.BASE, ref)
         assert out.scheme == "http"
         assert out.host == "www.usenix.org"
+
+
+#: Text that starts like a URL and goes on in URL punctuation, where
+#: plain ``st.text()`` rarely reaches the scheme/authority edge cases.
+url_like = st.builds(
+    str.__add__,
+    st.sampled_from(["", "http:", "HTTP://", "file:", "ftp:", "//", "x://"]),
+    st.text(alphabet=" \t\n:/?#.%0189aZ\u0663"),
+)
+
+
+class TestCanonicalUrl:
+    @given(st.one_of(st.text(), url_like))
+    @settings(max_examples=2000)
+    def test_total_and_idempotent(self, text):
+        key = canonical_url(text)
+        assert canonical_url(key) == key
+
+    @pytest.mark.parametrize("text, key", [
+        ("http:x", "http:x"),
+        ("file:foo", "file:foo"),
+        ("ftp:x", "ftp:x"),
+        ("http://a/b #f", "http://a/b"),
+        ("http://a:80x", "http://a:80x"),
+        ("////x", "////x"),
+        ("http: #", "http://"),
+        ("HTTP://Site.COM:80/p.html#top", "http://site.com/p.html"),
+        ("  http://site.com/p.html  ", "http://site.com/p.html"),
+        ("file:///etc/hosts", "file:///etc/hosts"),
+    ])
+    def test_examples_are_fixed_points(self, text, key):
+        assert canonical_url(text) == key
+        assert canonical_url(key) == key
+
+    def test_newline_in_fragment_parses(self):
+        url = parse_url("http://site.com/p.html#x\ny")
+        assert (url.path, url.fragment) == ("/p.html", "x\ny")
+        assert canonical_url("http://site.com/p.html#x\ny") \
+            == "http://site.com/p.html"
+
+    def test_port_is_ascii_digits_only(self):
+        assert canonical_url("http://a:\u0663\u0664/") != canonical_url("http://a:34/")
+        assert parse_url("http://a:\u0663\u0664/").port is None
+
+    def test_overlong_port_does_not_raise(self):
+        url = parse_url("http://a:" + "9" * 5000 + "/")
+        assert url.port is None and url.host == "a"
+
+    def test_canonical_key_tries_the_string_first(self):
+        table = {"http://site.com/p.html": 1}
+        assert canonical_key(table, "http://site.com/p.html") \
+            == "http://site.com/p.html"
+        assert canonical_key(table, "HTTP://Site.COM:80/p.html#x") \
+            == "http://site.com/p.html"
+        assert canonical_key({}, "http://site.com") == "http://site.com/"
