@@ -4,18 +4,14 @@
 users, or replicate itself among multiple computers, as many W3
 services do."
 
-The bench throws a burst of users at the snapshot facility under an
-admission limit of 10 concurrent requests per machine, with 1 vs 3
-replicas, and reports served/rejected counts and how the page archives
-partition.
+The bench throws a burst of users at the snapshot facility served by
+:class:`~repro.serve.server.DiffServer`.  Each machine (shard) has 10
+workers and no queue, so it serves at most 10 simultaneous requests and
+sheds the rest with 503.  It compares 1 vs 3 shards and reports
+served/rejected counts and how the admitted load spreads over shards.
 """
 
-from repro.core.snapshot.replication import (
-    AdmissionControl,
-    ReplicatedSnapshotService,
-)
-from repro.core.snapshot.service import SnapshotService
-from repro.core.snapshot.store import SnapshotStore
+from repro.serve.server import DiffServer
 from repro.simclock import SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
@@ -26,27 +22,19 @@ PAGES = 12
 PER_MACHINE_LIMIT = 10
 
 
-def run_burst(replica_count):
+def run_burst(shard_count):
     clock = SimClock()
     network = Network(clock)
     origin = network.create_server("site.com")
     generator = PageGenerator(seed=3)
     for i in range(PAGES):
         origin.set_page(f"/p{i}.html", generator.page())
-    agent = UserAgent(network, clock)
-    replicas = [
-        SnapshotService(SnapshotStore(clock, agent))
-        for _ in range(replica_count)
-    ]
-    front = ReplicatedSnapshotService(replicas)
-    limiters = [
-        AdmissionControl(replica, clock, PER_MACHINE_LIMIT)
-        for replica in replicas
-    ]
-    # Admission control sits per machine, behind the router.
-    front.replicas = limiters  # type: ignore[assignment]
+    server = DiffServer(
+        clock, UserAgent(network, clock), shards=shard_count,
+        workers_per_shard=PER_MACHINE_LIMIT, queue_limit=0,
+    )
     aide = network.create_server("aide.att.com")
-    aide.register_cgi("/cgi-bin/snapshot", front)
+    aide.register_cgi("/cgi-bin/snapshot", server)
     client = UserAgent(network, clock)
 
     served = rejected = 0
@@ -60,8 +48,8 @@ def run_burst(replica_count):
             served += 1
         elif resp.status == 503:
             rejected += 1
-    per_replica = [limiter.admitted for limiter in limiters]
-    return served, rejected, per_replica
+    per_shard = [pool.admitted for pool in server.pools]
+    return served, rejected, per_shard
 
 
 def test_replication_burst(benchmark, sink):
@@ -72,15 +60,15 @@ def test_replication_burst(benchmark, sink):
 
     sink.row(f"S14: {USERS} simultaneous remember requests, "
              f"limit {PER_MACHINE_LIMIT}/machine")
-    sink.row(f"{'replicas':>8s} {'served':>7s} {'rejected':>9s} "
+    sink.row(f"{'shards':>8s} {'served':>7s} {'rejected':>9s} "
              f"{'per-machine admits':>20s}")
-    for label, (served, rejected, per_replica) in (("1", single),
-                                                   ("3", triple)):
+    for label, (served, rejected, per_shard) in (("1", single),
+                                                 ("3", triple)):
         sink.row(f"{label:>8s} {served:7d} {rejected:9d} "
-                 f"{str(per_replica):>20s}")
+                 f"{str(per_shard):>20s}")
 
-    # One machine saturates at its limit; three machines triple the
-    # admitted load for the same burst.
+    # One machine saturates at its limit; three machines more than
+    # double the admitted load for the same burst.
     assert single[0] == PER_MACHINE_LIMIT
     assert single[1] == USERS - PER_MACHINE_LIMIT
     assert triple[0] > 2 * single[0]

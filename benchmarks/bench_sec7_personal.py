@@ -12,6 +12,8 @@ the "what's new" list the user confronts each morning (the information-
 overload figure that motivated prioritization).
 """
 
+import zlib
+
 from repro.aide.engine import Aide
 from repro.core.w3newer.report import ReportOptions
 from repro.aide.prioritize import parse_priority_config
@@ -22,7 +24,7 @@ SIM_DAYS = 28
 
 
 def run_user(aide, web, name, size, reads_per_day):
-    hotlist = build_hotlist(web, size=size, seed=hash(name) % 10_000)
+    hotlist = build_hotlist(web, size=size, seed=zlib.crc32(name.encode()) % 10_000)
     user = aide.add_user(name, hotlist)
     daily_changed = []
     requests = 0

@@ -24,7 +24,6 @@ from .journal import (
 from .keepalive import CgiTimeout, KeepAlive, KeepAliveResult
 from .locking import LockError, LockManager, RequestCoalescer
 from .options import StoreOptions
-from .replication import AdmissionControl, ReplicatedSnapshotService
 from .persistence import (
     JournalRecoveryWarning,
     StoreVerification,
@@ -87,8 +86,6 @@ __all__ = [
     "KeepAliveResult",
     "LockManager",
     "RequestCoalescer",
-    "AdmissionControl",
-    "ReplicatedSnapshotService",
     "OperationCosts",
     "SnapshotService",
     "RememberResult",

@@ -54,6 +54,7 @@ __all__ = [
     "SimProcess",
     "SimScheduler",
     "SimulatedCrash",
+    "draw",
 ]
 
 
@@ -103,7 +104,7 @@ class DeadlockError(RuntimeError):
         self.cycle = cycle
 
 
-def _draw(seed: int, salt: str, bound: int) -> int:
+def draw(seed: int, salt: str, bound: int) -> int:
     """Deterministic pseudo-random draw in ``[0, bound)``."""
     digest = hashlib.sha256(f"{seed}:{salt}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % bound
@@ -134,8 +135,8 @@ class CrashPlan:
         """A deterministic plan drawn from the registry: same seed,
         same death, forever — the property the resumable crash sweep
         and any bug report both rely on."""
-        point = CRASH_POINTS[_draw(seed, "point", len(CRASH_POINTS))]
-        hit = 1 + _draw(seed, "hit", 3)
+        point = CRASH_POINTS[draw(seed, "point", len(CRASH_POINTS))]
+        hit = 1 + draw(seed, "hit", 3)
         return cls(point=point, hit=hit)
 
     def should_crash(self, point: str, hit: int) -> bool:
@@ -345,7 +346,7 @@ class SimScheduler:
                 else:
                     chosen = ready[0]
             else:
-                chosen = ready[_draw(self.seed, str(self._steps), len(ready))]
+                chosen = ready[draw(self.seed, str(self._steps), len(ready))]
             self._last_run = chosen
             self._resume(self.processes[chosen])
 

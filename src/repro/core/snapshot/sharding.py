@@ -2,9 +2,9 @@
 
 "The facility could also impose a limit on the number of simultaneous
 users, or replicate itself among multiple computers, as many W3
-services do."  :class:`~.replication.ReplicatedSnapshotService` already
-partitions whole *service replicas* by a modulo hash; this module is
-the storage-layer generalization the diff server builds on:
+services do."  This module partitions the store by URL hash; the
+diff server (``repro.serve``) builds on it, with a bounded worker pool
+per shard as the simultaneous-user limit:
 
 * :class:`ShardRouter` — **rendezvous (highest-random-weight) hashing**
   from normalized URL to shard index.  Unlike ``hash mod N``, growing

@@ -1,8 +1,7 @@
 """Deterministic concurrent crawl execution.
 
 The serial runner checks one URL at a time; this module runs the
-scheduled check set as cooperative worker tasks on the snapshot
-facility's deterministic :class:`SimScheduler`, with per-host
+scheduled check set as cooperative worker tasks, with per-host
 politeness enforced by a virtual-time **governor**:
 
 * :class:`HostGovernor` — the politeness and throughput model.  The
@@ -16,11 +15,11 @@ politeness enforced by a virtual-time **governor**:
   starts to one host.  The resulting makespan is the run's virtual
   duration — the number the throughput bench gates on — and the slot
   trace is the determinism witness.
-* :class:`CrawlExecutor` — spawns ``workers`` SimScheduler processes
-  sharing one task queue.  Exactly one thread runs at a time and the
-  interleaving is drawn from the seed, so a seeded run is
-  byte-reproducible; checks themselves run without internal yields,
-  so every verdict is computed exactly as the serial checker would.
+* :class:`CrawlExecutor` — runs ``workers`` generator tasks sharing
+  one task queue on the caller's thread, resuming one at a time in an
+  order drawn from the seed, so a seeded run is byte-reproducible;
+  checks themselves run without internal yields, so every verdict is
+  computed exactly as the serial checker would.
 
 An aborted or paused run leaves its unclaimed tasks with the caller
 (the runner parks them in a checkpoint); the politeness invariants
@@ -32,10 +31,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...web.url import parse_url
-from ..snapshot.sched import SimScheduler
+from ..snapshot.sched import draw
 from .checker import UrlChecker
 from .errors import CheckOutcome, RunAborted
 from .scheduler import ScheduledCheck, SchedulePolicy
@@ -53,7 +52,7 @@ __all__ = [
 class CrawlOptions:
     """Knobs for the concurrent crawl pipeline."""
 
-    #: Cooperative worker tasks (1 = serial, no SimScheduler).
+    #: Cooperative worker tasks (1 = serial).
     workers: int = 4
     #: Per-run fetch budget (None = unbounded, the paper's behavior).
     budget: Optional[int] = None
@@ -65,7 +64,7 @@ class CrawlOptions:
     host_delay: int = 1
     #: Virtual seconds one HTTP request occupies a worker.
     request_cost: int = 1
-    #: Interleaving seed for the SimScheduler.
+    #: Seed that draws the worker interleaving.
     seed: int = 0
     #: Stop (checkpoint) after this many claimed checks; None = run to
     #: completion.  The deterministic mid-run abort used by tests.
@@ -286,30 +285,27 @@ class CrawlExecutor:
     def run(self, checks: Sequence[ScheduledCheck]) -> CrawlResult:
         """Run every scheduled check; stop early on abort or quota.
 
-        With ``workers > 1`` the checks execute as SimScheduler
-        processes: one thread at a time, claim order drawn from the
-        seed.  Checks have no internal yield points, so each verdict
-        is computed atomically — concurrency changes *when* checks
-        run, never what they conclude.
+        Step ``n`` resumes ``live[draw(seed, str(n), len(live))]``,
+        the pick ``SimScheduler.run`` makes among ready processes.
+        Checks have no internal yield points, so each verdict is
+        computed atomically — concurrency changes *when* checks run,
+        never what they conclude.
         """
         self._queue = deque(checks)
         self._completed = []
         self._stop_reason = ""
         self._paused = False
         self._claims = 0
-        workers = max(1, self.options.workers)
-        if workers == 1 or len(self._queue) <= 1:
-            self._drain(None)
-        else:
-            sim = SimScheduler(seed=self.options.seed)
-            for i in range(min(workers, len(self._queue))):
-                sim.spawn(f"crawl-{i}", lambda: self._drain(sim))
-            sim.run()
-            sim.join_threads()
-            for name in sorted(sim.processes):
-                process = sim.processes[name]
-                if process.error is not None:
-                    raise process.error
+        workers = max(1, min(self.options.workers, len(self._queue)))
+        live = [self._drain() for _ in range(workers)]
+        step = 0
+        while live:
+            step += 1
+            index = draw(self.options.seed, str(step), len(live))
+            try:
+                next(live[index])
+            except StopIteration:
+                del live[index]
         return CrawlResult(
             completed=self._completed,
             pending=list(self._queue),
@@ -319,8 +315,9 @@ class CrawlExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _drain(self, sim: Optional[SimScheduler]) -> None:
-        """One worker's loop: claim, check, place, repeat."""
+    def _drain(self) -> Iterator[None]:
+        """One worker's loop: claim, check, place, repeat.  It yields
+        after a claim and after a fetch, before the fetch is placed."""
         options = self.options
         while True:
             if self._stop_reason or self._paused:
@@ -333,8 +330,7 @@ class CrawlExecutor:
                 return
             task = self._queue.popleft()
             self._claims += 1
-            if sim is not None:
-                sim.checkpoint("crawl.claim")
+            yield
             try:
                 outcome = self.checker.check(task.url, force=task.force)
             except RunAborted as exc:
@@ -345,8 +341,7 @@ class CrawlExecutor:
                 self._stop_reason = str(exc)
                 return
             if outcome.http_requests > 0:
-                if sim is not None:
-                    sim.checkpoint("crawl.fetched")
+                yield
                 host = parse_url(task.url).host or "-"
                 self.governor.place(host, outcome.http_requests, url=task.url)
             self._completed.append((task, outcome))

@@ -311,7 +311,7 @@ class W3Newer:
         Screening (:func:`build_schedule`) synthesizes every outcome
         the checker ladder would decide without HTTP and picks the
         fetch set under the budget; the executor drains the scheduled
-        checks on ``workers`` cooperative SimScheduler tasks while the
+        checks on ``workers`` seeded generator tasks while the
         :class:`HostGovernor` places every fetch on a virtual timeline
         under the per-host politeness limits.  Same seed, same inputs
         ⇒ byte-identical report and fetch trace.

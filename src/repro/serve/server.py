@@ -306,8 +306,7 @@ class DiffServer:
     # Routing, caching, cost model
     # ------------------------------------------------------------------
     def _shard_index(self, url: str) -> int:
-        """No-URL requests (the registration form) go to shard 0, like
-        the replicated service routed them to replica 0."""
+        """No-URL requests (the registration form) go to shard 0."""
         if not url:
             return 0
         index = self.store.router.route(url)

@@ -16,6 +16,7 @@ from repro.serve import (
 from repro.web.client import UserAgent
 from repro.web.http import Request
 from repro.web.resilience import ResilientAgent, RetryPolicy
+from repro.web.url import canonical_url
 
 SEED = 7
 
@@ -97,6 +98,35 @@ class TestServeIdentity:
         server.checkin_content("curator0@example.com", world.urls[0],
                                "<P>archived out of band.</P>")
         assert sum(server.store.router.routed) == routed + 1
+
+
+class TestShardPartitioning:
+    def test_each_archive_lives_on_exactly_one_shard(self):
+        world = build_world(SEED, pages=12)
+        server = make_server(world, shards=3, queue_limit=32)
+        for url in world.urls:
+            resp = get(server, f"action=remember&url={url}&user=u@x.com",
+                       world.clock.now)
+            assert resp.status == 200
+        held = [set(shard.bytes_by_url()) for shard in server.store.shards]
+        for url in world.urls:
+            assert sum(canonical_url(url) in urls for urls in held) == 1
+        assert max(len(urls) for urls in held) < 12  # load spreads
+
+    def test_live_diff_reaches_the_archiving_shard(self):
+        world = build_world(SEED, pages=4)
+        server = make_server(world, shards=3)
+        url = world.urls[0]
+        get(server, f"action=remember&url={url}&user=fred@x.com",
+            world.clock.now)
+        world.origin.set_page("/page000.html",
+                              "<P>page 0 rewritten entirely anew.</P>")
+        world.clock.advance(60)
+        resp = get(server, f"action=diff&url={url}&user=fred@x.com",
+                   world.clock.now)
+        assert resp.status == 200
+        # Any other shard answers 404: it holds no snapshot of the URL.
+        assert "Internet Difference Engine" in resp.body
 
 
 class TestBackpressure:

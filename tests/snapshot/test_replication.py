@@ -1,14 +1,12 @@
-"""Tests for admission control and service replication (§4.2)."""
+"""Tests for the §4.2 remedies — a limit on simultaneous users and
+replication across machines — as :class:`~repro.serve.server.DiffServer`
+provides them: each shard is one machine with a bounded worker pool."""
 
 import pytest
 
-from repro.core.snapshot.replication import (
-    AdmissionControl,
-    ReplicatedSnapshotService,
-)
-from repro.core.snapshot.service import SnapshotService
-from repro.core.snapshot.store import SnapshotStore
-from repro.simclock import DAY, SimClock
+from repro.core.snapshot.service import OperationCosts
+from repro.serve.server import DiffServer
+from repro.simclock import SimClock
 from repro.web.client import UserAgent
 from repro.web.network import Network
 from repro.web.resilience import ResilientAgent, RetryPolicy
@@ -25,8 +23,11 @@ def world():
     return clock, network, origin, agent
 
 
-def make_service(clock, agent):
-    return SnapshotService(SnapshotStore(clock, agent))
+def make_server(clock, agent, shards):
+    """One worker per machine and no queue: a second simultaneous
+    request on the same machine is over the limit."""
+    return DiffServer(clock, agent, shards=shards, workers_per_shard=1,
+                      queue_limit=0)
 
 
 def call(client, query):
@@ -34,65 +35,34 @@ def call(client, query):
 
 
 class TestAdmissionControl:
-    def test_over_limit_gets_503(self, world):
-        clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=3)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
-        client = UserAgent(network, clock)
-        statuses = [
-            call(client, f"action=remember&url=http://site.com/p{i}.html&user=u{i}").status
-            for i in range(5)
-        ]
-        assert statuses[:3] == [200, 200, 200]
-        assert statuses[3:] == [503, 503]
-        assert limited.admitted == 3 and limited.rejected == 2
-
-    def test_limit_resets_next_instant(self, world):
-        clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
-        client = UserAgent(network, clock)
-        assert call(client, "action=remember&url=http://site.com/p0.html&user=a").status == 200
-        assert call(client, "action=remember&url=http://site.com/p1.html&user=a").status == 503
-        clock.advance(1)
-        assert call(client, "action=remember&url=http://site.com/p1.html&user=a").status == 200
-
-    def test_bad_limit(self, world):
-        clock, network, origin, agent = world
-        with pytest.raises(ValueError):
-            AdmissionControl(make_service(clock, agent), clock, limit=0)
-        with pytest.raises(ValueError):
-            AdmissionControl(make_service(clock, agent), clock, limit=1,
-                             retry_after=0)
-
     def test_503_carries_retry_after(self, world):
         clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
+        server = make_server(clock, agent, shards=1)
         aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
+        aide.register_cgi("/cgi-bin/snapshot", server)
         client = UserAgent(network, clock)
-        call(client, "action=remember&url=http://site.com/p0.html&user=a")
+        first = call(client, "action=remember&url=http://site.com/p0.html&user=a")
+        assert first.status == 200
         rejected = call(client,
                         "action=remember&url=http://site.com/p1.html&user=a")
         assert rejected.status == 503
-        # The window resets next instant, and the header says so.
-        assert rejected.headers.get("Retry-After") == "1"
+        # The worker frees once the first remember's fetch is done, and
+        # the header says so.
+        assert rejected.headers.get("Retry-After") == str(OperationCosts().fetch)
 
     def test_resilient_agent_honors_retry_after(self, world):
         """End to end: a ResilientAgent that would otherwise retry with
         zero backoff (base_delay=0, jitter=0) succeeds only because the
-        503's Retry-After tells it to wait out the admission window."""
+        503's Retry-After tells it to wait for the busy worker."""
         clock, network, origin, agent = world
-        limited = AdmissionControl(make_service(clock, agent), clock, limit=1)
+        server = make_server(clock, agent, shards=1)
         aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", limited)
+        aide.register_cgi("/cgi-bin/snapshot", server)
         resilient = ResilientAgent(
             UserAgent(network, clock),
             policy=RetryPolicy(base_delay=0, jitter=0),
         )
-        # Exhaust this instant's admission window.
+        # Occupy the only worker.
         call(UserAgent(network, clock),
              "action=remember&url=http://site.com/p0.html&user=a")
         before = clock.now
@@ -102,52 +72,20 @@ class TestAdmissionControl:
         )
         assert result.response.status == 200
         # The only wait in the policy is the advertised Retry-After.
-        assert clock.now == before + 1
+        assert clock.now == before + OperationCosts().fetch
         assert resilient.retries == 1
-        assert limited.rejected == 1 and limited.admitted == 2
+        assert server.shed == 1 and server.pools[0].admitted == 2
 
 
 class TestReplication:
     def test_routing_is_stable_and_partitioned(self, world):
         clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
-        for url in (f"http://site.com/p{i}.html" for i in range(12)):
-            assert front.replica_for(url) == front.replica_for(url)
-        indices = {front.replica_for(f"http://site.com/p{i}.html")
-                   for i in range(12)}
+        front = make_server(clock, agent, shards=3)
+        twin = make_server(clock, agent, shards=3)
+        urls = [f"http://site.com/p{i}.html" for i in range(12)]
+        route = front.store.router.shard_for
+        for url in urls:
+            assert route(url) == route(url)
+            assert route(url) == twin.store.router.shard_for(url)
+        indices = {route(url) for url in urls}
         assert len(indices) > 1  # load actually spreads
-
-    def test_each_archive_lives_on_one_replica(self, world):
-        clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", front)
-        client = UserAgent(network, clock)
-        for i in range(12):
-            resp = call(client,
-                        f"action=remember&url=http://site.com/p{i}.html&user=u")
-            assert resp.status == 200
-        assert front.url_count == 12  # no page stored twice
-        per_replica = [r.store.url_count() for r in replicas]
-        assert sum(per_replica) == 12
-        assert max(per_replica) < 12  # and not all on one machine
-
-    def test_diff_reaches_the_right_replica(self, world):
-        clock, network, origin, agent = world
-        replicas = [make_service(clock, agent) for _ in range(3)]
-        front = ReplicatedSnapshotService(replicas)
-        aide = network.create_server("aide.att.com")
-        aide.register_cgi("/cgi-bin/snapshot", front)
-        client = UserAgent(network, clock)
-        call(client, "action=remember&url=http://site.com/p0.html&user=fred")
-        clock.advance(DAY)
-        origin.set_page("/p0.html", "<P>page 0 rewritten entirely anew.</P>")
-        resp = call(client, "action=diff&url=http://site.com/p0.html&user=fred")
-        assert resp.status == 200
-        assert "Internet Difference Engine" in resp.body
-
-    def test_no_replicas_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicatedSnapshotService([])

@@ -8,6 +8,11 @@ checked end to end: a run paused mid-crawl and resumed must produce a
 byte-identical report and spend no duplicate fetches.
 """
 
+import hashlib
+from collections import deque
+
+import pytest
+
 from repro.core.w3newer import (
     BrowserHistory,
     ChangeRateEstimator,
@@ -18,6 +23,9 @@ from repro.core.w3newer import (
     SchedulePolicy,
     W3Newer,
 )
+from repro.core.w3newer import crawl as crawl_module
+from repro.core.w3newer.checker import UrlChecker
+from repro.core.w3newer.hotlist import Hotlist
 from repro.simclock import DAY, SimClock
 from repro.web import Network, PolitenessLog, UserAgent
 from repro.workloads import (
@@ -236,3 +244,84 @@ class TestGovernorUnit:
         assert first.worker == 0  # all free: lowest index wins
         second = governor.place("y.com", requests=1)
         assert second.worker == 1
+
+
+class _ClaimLog(deque):
+    """The executor's task queue, logging every claim in order."""
+
+    events: list = []
+
+    def popleft(self):
+        task = super().popleft()
+        _ClaimLog.events.append(("claim", task.url))
+        return task
+
+
+class TestInterleavingGolden:
+    """Pins the seeded interleaving itself, not just run-to-run equality.
+
+    The digest covers every placed fetch slot and the interleaving of
+    claims with check starts, so any change to how the executor picks
+    the next worker shows up here even when reports still agree.
+    """
+
+    GOLDEN = {
+        1: "a48245157bbd99d991d610a5fb0664813800ed11f27ff0671fcc86ed6d3111bc",
+        3: "c21fd4d7b3c955ae6a4af55ccd0e4accc9ede3afe68ed1979086903675d440de",
+        8: "8befb762edaab64cf4e31f2a05bc92064fa0394ab6c2001aefbdc75be9d27940",
+    }
+
+    def digest(self, monkeypatch, workers):
+        check = UrlChecker.check
+
+        def logged_check(checker, url, force=False):
+            _ClaimLog.events.append(("check", url))
+            return check(checker, url, force=force)
+
+        monkeypatch.setattr(crawl_module, "deque", _ClaimLog)
+        monkeypatch.setattr(UrlChecker, "check", logged_check)
+        _ClaimLog.events = []
+        clock, world, tracker, _ = build_tracker(
+            urls=60, hosts=4, workers=workers, seed=5, host_delay=1,
+        )
+        advance_and_run(clock, world, tracker)
+        trace = [(s.host, s.worker, s.start, s.finish, s.url)
+                 for s in tracker.last_crawl["trace"]]
+        claims = sum(1 for kind, _ in _ClaimLog.events if kind == "claim")
+        assert trace and claims == tracker.last_crawl["claims"]
+        blob = repr((trace, _ClaimLog.events)).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_interleaving_matches_golden(self, monkeypatch, workers):
+        assert self.digest(monkeypatch, workers) == self.GOLDEN[workers]
+
+
+class TestExecutorEdges:
+    def test_empty_queue_with_zero_quota_is_reported_paused(self):
+        clock = SimClock()
+        tracker = W3Newer(
+            clock, UserAgent(Network(clock), clock), Hotlist(),
+            crawl=CrawlOptions(workers=4, max_checks=0),
+        )
+        result = tracker.run()
+        assert "paused" in result.aborted
+        assert tracker.last_crawl["claims"] == 0
+        assert tracker.checkpoint.pending == []
+
+    def test_check_error_propagates_at_once(self, monkeypatch):
+        clock, world, tracker, _ = build_tracker(workers=8)
+        started = []
+        check = UrlChecker.check
+
+        def failing_check(checker, url, force=False):
+            started.append(url)
+            if len(started) == 3:
+                raise RuntimeError("checker bug")
+            return check(checker, url, force=force)
+
+        monkeypatch.setattr(UrlChecker, "check", failing_check)
+        with pytest.raises(RuntimeError, match="checker bug"):
+            advance_and_run(clock, world, tracker)
+        # No other worker started a check after the failing one.
+        assert len(started) == 3
